@@ -6,6 +6,7 @@ use std::time::Duration;
 use light_graph::VertexId;
 use light_pattern::PatternVertex;
 
+use light_graph::stats::{compute_stats, GraphStats};
 use light_graph::CsrGraph;
 use light_order::plan::{CandidateStrategy, Materialization, QueryPlan};
 use light_pattern::PatternGraph;
@@ -234,14 +235,33 @@ impl EngineConfig {
     }
 
     /// Build the query plan this configuration implies for `(pattern, g)`.
+    /// Computes `g`'s statistics; see [`EngineConfig::plan_with_stats`] to
+    /// reuse statistics computed once per graph version.
     pub fn plan(&self, pattern: &PatternGraph, g: &CsrGraph) -> QueryPlan {
+        self.plan_with_stats(pattern, g, &compute_stats(g))
+    }
+
+    /// [`EngineConfig::plan`] from precomputed statistics of `g` (as
+    /// returned by [`compute_stats`]); the plan depends on `g` only through
+    /// them.
+    pub fn plan_with_stats(
+        &self,
+        pattern: &PatternGraph,
+        g: &CsrGraph,
+        stats: &GraphStats,
+    ) -> QueryPlan {
+        debug_assert_eq!(
+            (stats.num_vertices, stats.num_edges),
+            (g.num_vertices(), g.num_edges()),
+            "statistics of a different graph"
+        );
         let (mat, strat) = self.variant.knobs();
         if self.symmetry_breaking {
-            QueryPlan::optimized_tuned(pattern, g, mat, strat, self.aux_threshold)
+            QueryPlan::optimized_tuned(pattern, stats, mat, strat, self.aux_threshold)
         } else {
             // Without symmetry breaking there is no partial order to
             // respect; still use the optimizer for π.
-            let est = light_order::estimate::Estimator::from_graph(g);
+            let est = light_order::estimate::Estimator::from_stats(stats);
             let po = light_pattern::PartialOrder::none();
             let pi = light_order::cost::choose_order(pattern, &po, &est);
             QueryPlan::with_order_estimated(pattern, &pi, po, mat, strat, &est, self.aux_threshold)

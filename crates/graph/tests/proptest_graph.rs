@@ -6,7 +6,9 @@ use proptest::prelude::*;
 use light_graph::builder::from_edges;
 use light_graph::io::{from_snapshot, read_edge_list, to_snapshot, write_edge_list};
 use light_graph::ordered::{into_degree_ordered, is_degree_ordered};
-use light_graph::stats::{compute_stats, count_triangles, degree_histogram};
+use light_graph::stats::{
+    clustering_coefficient, compute_stats, count_triangles, degree_histogram, EXACT_WEDGE_LIMIT,
+};
 
 fn edge_list() -> impl Strategy<Value = Vec<(u32, u32)>> {
     proptest::collection::vec((0u32..64, 0u32..64), 0..200)
@@ -92,7 +94,11 @@ proptest! {
         prop_assert_eq!(s.num_edges, g.num_edges());
         prop_assert!(s.clustering >= 0.0 && s.clustering <= 1.0);
         // Wedge count >= 3 * triangles (each triangle closes 3 wedges).
-        prop_assert!(s.wedges >= 3 * s.triangles);
+        let triangles = count_triangles(&g);
+        prop_assert!(s.wedges >= 3 * triangles);
+        // Below the sampling threshold the coefficient is the exact one.
+        prop_assert!(s.wedges <= EXACT_WEDGE_LIMIT);
+        prop_assert_eq!(s.clustering, clustering_coefficient(triangles, s.wedges));
         if s.num_vertices > 0 {
             // E[d^2] >= E[d]^2 (Jensen).
             prop_assert!(s.degree_second_moment + 1e-9 >= s.avg_degree * s.avg_degree);

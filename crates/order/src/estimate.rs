@@ -51,7 +51,11 @@ impl Estimator {
         }
     }
 
-    /// Build from a graph (computes statistics, including a triangle count).
+    /// Build from a graph: computes its statistics with
+    /// [`light_graph::stats::compute_stats`] (`O(|V| + samples)` on large
+    /// graphs). Callers that plan repeatedly against one graph version
+    /// should compute the statistics once and use
+    /// [`Estimator::from_stats`].
     pub fn from_graph(g: &CsrGraph) -> Self {
         Self::from_stats(&light_graph::stats::compute_stats(g))
     }

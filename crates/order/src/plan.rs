@@ -8,6 +8,7 @@
 //! `{eager, lazy} × {plain, set-cover}` plans over the *same* π, which is
 //! how the paper isolates each technique.
 
+use light_graph::stats::{compute_stats, GraphStats};
 use light_graph::CsrGraph;
 use light_pattern::small_graph::bits;
 use light_pattern::symmetry::VertexConstraints;
@@ -74,21 +75,28 @@ impl QueryPlan {
         materialization: Materialization,
         strategy: CandidateStrategy,
     ) -> QueryPlan {
-        Self::optimized_tuned(pattern, g, materialization, strategy, DEFAULT_AUX_THRESHOLD)
+        Self::optimized_tuned(
+            pattern,
+            &compute_stats(g),
+            materialization,
+            strategy,
+            DEFAULT_AUX_THRESHOLD,
+        )
     }
 
-    /// [`QueryPlan::optimized_with`] with an explicit auxiliary-cache
-    /// benefit threshold (entries whose estimated reuse falls below it get
-    /// no [`TrimDirective`]; see [`crate::auxplan`]).
+    /// [`QueryPlan::optimized_with`] from precomputed statistics of the
+    /// data graph, with an explicit auxiliary-cache benefit threshold
+    /// (entries whose estimated reuse falls below it get no
+    /// [`TrimDirective`]; see [`crate::auxplan`]).
     pub fn optimized_tuned(
         pattern: &PatternGraph,
-        g: &CsrGraph,
+        stats: &GraphStats,
         materialization: Materialization,
         strategy: CandidateStrategy,
         aux_threshold: f64,
     ) -> QueryPlan {
         let po = PartialOrder::for_pattern(pattern);
-        let est = Estimator::from_graph(g);
+        let est = Estimator::from_stats(stats);
         let pi = choose_order(pattern, &po, &est);
         Self::build(
             pattern,

@@ -44,8 +44,9 @@ struct LiveState {
     /// The materialized current view (`delta.merged_arc()`, cached).
     /// Clean overlays alias the base `Arc` — zero copy.
     graph: Arc<CsrGraph>,
-    /// Stats of `graph`, recomputed on every update (graphs served here
-    /// are modest; incremental triangle maintenance is future work).
+    /// Planner statistics of `graph`, computed once per generation (at
+    /// load and on every update); every plan built against this
+    /// generation reuses them.
     stats: GraphStats,
     /// Storage backend of the *base* (`"heap"` or `"mmap"`).
     backend: &'static str,
@@ -159,6 +160,14 @@ impl CatalogEntry {
     pub fn view(&self) -> (Arc<CsrGraph>, u64) {
         let st = read_recover(&self.live);
         (Arc::clone(&st.graph), st.generation)
+    }
+
+    /// [`CatalogEntry::view`] plus the view's planner statistics, all read
+    /// under one lock: a plan built from them belongs to exactly this
+    /// generation.
+    pub fn view_with_stats(&self) -> (Arc<CsrGraph>, u64, GraphStats) {
+        let st = read_recover(&self.live);
+        (Arc::clone(&st.graph), st.generation, st.stats)
     }
 
     /// Stats of the current view (recomputed at load and on every update).
@@ -484,6 +493,7 @@ impl GraphCatalog {
 mod tests {
     use super::*;
     use light_graph::generators;
+    use light_graph::stats::count_triangles;
 
     #[test]
     fn loads_both_file_formats_and_normalizes() {
@@ -507,7 +517,8 @@ mod tests {
         assert!(light_graph::ordered::is_degree_ordered(&t.graph()));
         assert!(light_graph::ordered::is_degree_ordered(&b.graph()));
         assert_eq!(t.stats().num_edges, b.stats().num_edges);
-        assert_eq!(t.stats().triangles, b.stats().triangles);
+        assert_eq!(count_triangles(&t.graph()), count_triangles(&b.graph()));
+        assert_eq!(t.stats(), b.stats());
         assert!(cat.sole_entry().is_none());
         // v1 snapshots and text lists always decode onto the heap.
         assert_eq!(t.backend(), "heap");
@@ -545,7 +556,8 @@ mod tests {
             assert_eq!(m.graph().resident_bytes(), 0);
         }
         assert_eq!(*m.graph(), *h.graph());
-        assert_eq!(m.stats().triangles, h.stats().triangles);
+        assert_eq!(count_triangles(&m.graph()), count_triangles(&h.graph()));
+        assert_eq!(m.stats(), h.stats());
 
         // A truncated v2 file must come back as a typed load error.
         let bytes = std::fs::read(&v2).unwrap();
@@ -667,8 +679,9 @@ mod tests {
         let e = cat.get("g").unwrap();
         let (g0, gen0) = e.view();
         assert_eq!(gen0, 0);
-        let t0 = e.stats().triangles;
+        let t0 = count_triangles(&e.graph());
         assert_eq!(t0, 0);
+        assert_eq!(e.stats().clustering, 0.0);
 
         // Close a triangle on the path: find an interior vertex (IDs were
         // relabeled by degree ordering) and connect its two neighbors.
@@ -684,7 +697,11 @@ mod tests {
         assert_eq!(out.report.inserted.len(), 1);
         assert!(!out.compacted);
         assert_eq!(out.pending, 1);
-        assert_eq!(e.stats().triangles, t0 + 1);
+        assert_eq!(count_triangles(&e.graph()), t0 + 1);
+        let (g1, gen1, stats1) = e.view_with_stats();
+        assert_eq!(gen1, 1);
+        assert_eq!(stats1, compute_stats(&g1), "stats belong to the view");
+        assert!(stats1.clustering > 0.0);
         assert_eq!(e.graph().num_edges(), g0.num_edges() + 1);
         // The pre/post views bracket the batch.
         assert_eq!(out.pre.num_edges(), g0.num_edges());
@@ -709,7 +726,8 @@ mod tests {
         assert!(out3.compacted);
         assert_eq!(out3.pending, 0);
         assert_eq!(e.pending_edges(), 0);
-        assert_eq!(e.stats().triangles, 0);
+        assert_eq!(count_triangles(&e.graph()), 0);
+        assert_eq!(e.stats().clustering, 0.0);
         assert_eq!(e.generation(), 3);
     }
 

@@ -662,7 +662,8 @@ pub fn render_unsubscribed(id: &str, sub: u64, removed: bool) -> String {
 /// `healthy:false` marks an mmap-backed graph whose snapshot shrank or was
 /// replaced on disk (see the SIGBUS guard in `catalog.rs`). `generation`
 /// counts committed updates; `pending` is the overlay edges not yet folded
-/// into the base.
+/// into the base. `clustering` is the coefficient the planner uses (exact
+/// on small graphs, sampled on large ones; see `light_graph::stats`).
 pub fn render_catalog_entry(e: &crate::catalog::CatalogEntry) -> String {
     let stats = e.stats();
     let mut w = ObjWriter::new();
@@ -677,7 +678,7 @@ pub fn render_catalog_entry(e: &crate::catalog::CatalogEntry) -> String {
         .u64("vertices", stats.num_vertices as u64)
         .u64("edges", stats.num_edges as u64)
         .u64("max_degree", stats.max_degree as u64)
-        .u64("triangles", stats.triangles)
+        .raw("clustering", &format!("{:.6}", stats.clustering))
         .u64("generation", e.generation())
         .u64("pending", e.pending_edges() as u64)
         .f64("load_ms", e.load_ms);
@@ -701,6 +702,20 @@ pub fn response_field(line: &str, field: &str) -> Option<Json> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn catalog_entry_reports_planner_clustering() {
+        let mut cat = crate::catalog::GraphCatalog::new();
+        cat.insert("k4", light_graph::generators::complete(4))
+            .unwrap();
+        let doc = Json::parse(&render_catalog_entry(cat.get("k4").unwrap())).unwrap();
+        assert_eq!(doc.get("clustering").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(doc.get("edges").and_then(Json::as_u64), Some(6));
+        assert!(
+            doc.get("triangles").is_none(),
+            "the catalog counts no triangles"
+        );
+    }
 
     #[test]
     fn parses_query_request() {

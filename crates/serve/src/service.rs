@@ -43,8 +43,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use light_core::engine::run_plan;
 use light_core::{
-    validate_query, CancelToken, EngineConfig, EngineVariant, Outcome, SharedAuxStore,
+    validate_query, CancelToken, CountVisitor, EngineConfig, EngineVariant, Outcome, SharedAuxStore,
 };
 use light_parallel::{run_plan_parallel, ParallelConfig};
 use light_pattern::{PatternGraph, Query};
@@ -781,7 +782,7 @@ impl QueryService {
         // shared aux store drops its trimmed-adjacency tables (O(1)
         // generation bump), and the plan cache misses naturally because
         // its keys embed the entry generation. Per-entry `GraphStats`
-        // were recomputed inside the commit.
+        // were recomputed inside the commit, once for the new generation.
         if let Some(store) = self.shared_store(&entry.name) {
             store.invalidate();
         }
@@ -857,12 +858,18 @@ impl QueryService {
         // count, so no update can commit between counting and enrolling —
         // the count is exact for the generation it records.
         let mut subs = lock_recover(&self.subs);
-        let (graph, generation) = entry.view();
+        let (graph, generation, stats) = entry.view_with_stats();
         if let Err(e) = validate_query(&pattern, graph.num_vertices()) {
             return err(ErrorCode::BadQuery, e.to_string());
         }
         let t = Instant::now();
-        let report = light_core::run_query(&pattern, &graph, &self.cfg.engine);
+        let plan = self.cfg.engine.plan_with_stats(&pattern, &graph, &stats);
+        let report = run_plan(
+            &plan,
+            &graph,
+            &self.cfg.engine,
+            &mut CountVisitor::default(),
+        );
         let aut = light_core::automorphism_count(&pattern);
         let id = subs.next_id;
         subs.next_id += 1;
@@ -939,10 +946,10 @@ impl QueryService {
             Ok(p) => p,
             Err(e) => return err(ErrorCode::BadPattern, e),
         };
-        // One consistent (graph, generation) pair for the whole query:
-        // the plan-cache key, planning statistics, and execution all see
-        // the same view even if an update commits mid-query.
-        let (graph, generation) = entry.view();
+        // One consistent (graph, generation, stats) triple for the whole
+        // query: the plan-cache key, planning statistics, and execution all
+        // see the same view even if an update commits mid-query.
+        let (graph, generation, stats) = entry.view_with_stats();
         if let Err(e) = validate_query(&pattern, graph.num_vertices()) {
             return err(ErrorCode::BadQuery, e.to_string());
         }
@@ -1013,7 +1020,7 @@ impl QueryService {
         let key = PlanKey::new(&pattern, &entry.name, generation, &cfg);
         let (plan, cache_hit) = self.plans.get_or_build(key, || {
             light_failpoint::fail_point!("serve::plan_build");
-            cfg.plan(&pattern, &graph)
+            cfg.plan_with_stats(&pattern, &graph, &stats)
         });
 
         let pcfg = ParallelConfig::new(threads).flat_topology(self.cfg.flat_topology);

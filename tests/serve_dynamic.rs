@@ -9,9 +9,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use light::core::{run_query, EngineConfig};
+use light::graph::stats::compute_stats;
 use light::pattern::Query;
 use light::serve::json::Json;
-use light::serve::{GraphCatalog, QueryService, ServeConfig};
+use light::serve::{GraphCatalog, PlanKey, QueryService, ServeConfig};
 
 fn service() -> Arc<QueryService> {
     let mut catalog = GraphCatalog::new();
@@ -121,6 +122,41 @@ fn update_between_identical_queries_changes_the_count() {
     assert_eq!(
         ok(&restored).get("matches").and_then(Json::as_u64),
         Some(count_before)
+    );
+}
+
+/// A plan built on a cache miss right after an update is the plan for
+/// that generation: the one `plan_with_stats` builds from the entry's
+/// graph and its once-per-generation statistics.
+#[test]
+fn plan_miss_after_update_uses_the_generation_stats() {
+    let svc = service();
+    let entry = svc.catalog().get("g").unwrap().clone();
+    let (a, b) = missing_triangle_edge(&entry.graph());
+    let upd = parse(&svc.handle_line(&format!(
+        "{{\"op\":\"update\",\"graph\":\"g\",\"inserts\":[[{a},{b}]],\"id\":\"u\"}}"
+    )));
+    assert_eq!(ok(&upd).get("generation").and_then(Json::as_u64), Some(1));
+
+    let resp = parse(&svc.handle_line(r#"{"op":"query","pattern":"P4","graph":"g","id":"q"}"#));
+    assert_eq!(
+        ok(&resp).get("plan_cache").and_then(Json::as_str),
+        Some("miss")
+    );
+
+    let (g, generation, stats) = entry.view_with_stats();
+    assert_eq!(generation, 1);
+    assert_eq!(stats, compute_stats(&g), "stats belong to the generation");
+    let cfg = &svc.config().engine;
+    let pattern = Query::P4.pattern();
+    let key = PlanKey::new(&pattern, "g", generation, cfg);
+    let (cached, hit) = svc
+        .plan_cache()
+        .get_or_build(key, || panic!("the query must have cached its plan"));
+    assert!(hit);
+    assert_eq!(
+        format!("{:?}", *cached),
+        format!("{:?}", cfg.plan_with_stats(&pattern, &g, &stats))
     );
 }
 
