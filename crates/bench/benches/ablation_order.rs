@@ -38,7 +38,8 @@ fn bench_order_choice(c: &mut Criterion) {
                 // rule; drop constraints that conflict (disable symmetry
                 // pruning of orders, keep bind-time checks) by re-deriving
                 // a compatible constraint set is out of scope — use the
-                // same po; bind-time checks stay correct for any π.
+                // same po; the plan's slice bounds are derived for the
+                // given π, so they stay correct for any π.
                 let plan = QueryPlan::with_order(
                     &p,
                     &naive,

@@ -7,6 +7,11 @@
 //! algorithm change). Patterns whose plans carry no directive are the
 //! built-in control group: both legs must behave identically there.
 //!
+//! Both legs run without symmetry breaking (raw counts, `|Aut(P)|` times
+//! the deduplicated ones): under it the catalog's directive slots mostly
+//! carry slice bounds, and a bounded COMP gets no directive (DESIGN.md
+//! §6, §11), so the ablation would compare the cache against itself.
+//!
 //! Knobs: `LIGHT_SCALE` (default 0.05), `LIGHT_THREADS` (default 1),
 //! `LIGHT_TIME_BUDGET_SECS` (default 60), `LIGHT_AUX_THRESHOLD` (planner
 //! benefit threshold, default [`light_order::DEFAULT_AUX_THRESHOLD`]),
@@ -53,7 +58,7 @@ fn main() {
         .unwrap_or_else(|| panic!("unknown LIGHT_DATASET {dname:?}"));
     println!(
         "fig_auxcache: auxiliary-cache ablation on {} at scale {s}, {} thread(s), \
-         threshold {thr}, budget {}s",
+         threshold {thr}, budget {}s, symmetry breaking off",
         d.name(),
         nthreads,
         tb.as_secs()
@@ -67,7 +72,10 @@ fn main() {
     let mut improved = 0usize;
     for q in Query::ALL {
         let p = q.pattern();
-        let base = EngineConfig::light().budget(tb).aux_threshold(thr);
+        let base = EngineConfig::light()
+            .symmetry(false)
+            .budget(tb)
+            .aux_threshold(thr);
         let dirs = base
             .clone()
             .aux_cache(true)

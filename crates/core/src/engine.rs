@@ -17,7 +17,14 @@
 //!   are bounded by the `u8` pattern-vertex space), not a heap `Vec`.
 //! * Single-operand candidate computations (`C(u3) := C(u1)` in Example
 //!   V.1) are *aliases*, not copies: `CandRef` records where the set lives.
-//! * Duplicate-vertex and symmetry checks are O(n) scans over φ — n ≤ 16.
+//! * Symmetry breaking cuts instead of filtering: the plan's slice bounds
+//!   (see [`light_order::bounds`]) turn the already-bound constraint
+//!   endpoints into one id range, so a bounded COMP intersects only the
+//!   part of each sorted operand inside it and a MAT loops only over the
+//!   candidates inside it — two binary searches, no per-candidate check.
+//!   Bounded COMPs bypass the auxiliary cache and the shared store, whose
+//!   keys do not cover the bound vertices.
+//! * The duplicate-vertex check is an O(n) scan over φ — n ≤ 16.
 //! * The wall-clock budget is polled once per [`DEADLINE_POLL_PERIOD`]
 //!   deadline ticks (a tick fires per root binding, per MAT binding, *and*
 //!   per COMP entry — dense graphs spend most of their time in COMP, so
@@ -51,8 +58,9 @@ use std::time::Instant;
 
 use light_graph::{CsrGraph, VertexId, INVALID_VERTEX};
 use light_metrics::{LocalRecorder, Recorder, Stopwatch};
+use light_order::bounds::clip;
 use light_order::exec_order::ExecOp;
-use light_order::{QueryPlan, TrimDirective};
+use light_order::{QueryPlan, SliceBounds, TrimDirective};
 use light_setops::{intersect_many_recorded, trim_into, Intersector};
 
 use crate::auxcache::{AuxCache, SharedAuxStore, SharedKey, SHARED_KEY_MAX};
@@ -373,6 +381,7 @@ impl<'a, V: MatchVisitor> Enumerator<'a, V> {
         // earlier sibling subtree) from the memory account before the slot
         // is reused.
         self.release_cand(u);
+        let bounds = self.comp_bounds(u);
 
         if self.plan.operands()[u as usize].num_operands() == 1 {
             // Assignment, not intersection (Example V.1): record an alias.
@@ -439,9 +448,13 @@ impl<'a, V: MatchVisitor> Enumerator<'a, V> {
             // concurrent query on this graph may already have produced it.
             // A K2 operand resolving to an *owned* set depends on this
             // query's whole φ-prefix and disqualifies the COMP.
+            // A COMP with slice bounds is cut by φ of its bound vertices,
+            // which the shared key does not cover: it neither probes nor
+            // stores (the planner gives it no trim directive either).
+            debug_assert!(bounds.is_empty() || aux_idx.is_none());
             let mut have_result = aux_hit;
             let mut shared_key: Option<SharedKey> = None;
-            if !have_result && self.shared.is_some() {
+            if !have_result && bounds.is_empty() && self.shared.is_some() {
                 let ops = &self.plan.operands()[u as usize];
                 if let Some(key) = shared_probe_key(&ops.k1, &ops.k2, &self.phi, |w| {
                     resolve_nbr(&self.cand_ref, w)
@@ -522,6 +535,14 @@ impl<'a, V: MatchVisitor> Enumerator<'a, V> {
                         sets[k] = resolve_cand(cand_ref, cands, g, w);
                         k += 1;
                     }
+                    if !bounds.is_empty() {
+                        // Symmetry-breaking slice: only ids the partial
+                        // order lets u and every reader of C(u) bind.
+                        let range = bounds.id_range(phi);
+                        for set in &mut sets[..k] {
+                            *set = &set[clip(set, range)];
+                        }
+                    }
                     intersect_many_recorded(
                         isec,
                         &sets[..k],
@@ -539,6 +560,12 @@ impl<'a, V: MatchVisitor> Enumerator<'a, V> {
                     }
                     for &w in &ops.k2 {
                         sets.push(resolve_cand(cand_ref, cands, g, w));
+                    }
+                    if !bounds.is_empty() {
+                        let range = bounds.id_range(phi);
+                        for set in &mut sets {
+                            *set = &set[clip(set, range)];
+                        }
                     }
                     intersect_many_recorded(
                         isec,
@@ -579,9 +606,18 @@ impl<'a, V: MatchVisitor> Enumerator<'a, V> {
         // which is what a per-slot cost breakdown wants.
         let sample = self.local.mat_call(u as usize);
         let sw = Stopwatch::start(sample);
-        let len = self.cand_slice(u).len();
-        let constraints = &self.plan.constraints()[u as usize];
-        for idx in 0..len {
+        // Symmetry breaking: every constraint whose other endpoint is
+        // already mapped leaves one contiguous id range of the sorted
+        // candidates (IDs are degree-ordered, so `<` is an integer
+        // compare); constraints against unmapped vertices are enforced at
+        // their later MAT.
+        let bounds = self.mat_bounds(u);
+        let range = if bounds.is_empty() {
+            0..self.cand_slice(u).len()
+        } else {
+            clip(self.cand_slice(u), bounds.id_range(&self.phi))
+        };
+        for idx in range {
             if self.should_halt() {
                 break;
             }
@@ -597,23 +633,6 @@ impl<'a, V: MatchVisitor> Enumerator<'a, V> {
                     continue;
                 }
             }
-            // Symmetry breaking: enforce every constraint whose other
-            // endpoint is already mapped (IDs are degree-ordered, so `<` is
-            // a plain integer compare).
-            if self.symmetry {
-                let lower_ok = constraints
-                    .must_be_larger_than
-                    .iter()
-                    .all(|&w| self.phi[w as usize] == INVALID_VERTEX || self.phi[w as usize] < v);
-                let upper_ok = constraints
-                    .must_be_smaller_than
-                    .iter()
-                    .all(|&w| self.phi[w as usize] == INVALID_VERTEX || v < self.phi[w as usize]);
-                if !lower_ok || !upper_ok {
-                    continue;
-                }
-            }
-
             self.stats.bindings += 1;
             self.tick_deadline();
             self.phi[u as usize] = v;
@@ -627,6 +646,26 @@ impl<'a, V: MatchVisitor> Enumerator<'a, V> {
         }
         if let Some(ns) = sw.stop() {
             self.local.mat_nanos(u as usize, ns);
+        }
+    }
+
+    /// The plan's COMP slice bounds of `u`; none with symmetry breaking off.
+    #[inline]
+    fn comp_bounds(&self, u: u8) -> SliceBounds {
+        if self.symmetry {
+            self.plan.comp_bounds()[u as usize]
+        } else {
+            SliceBounds::NONE
+        }
+    }
+
+    /// The plan's MAT bounds of `u`; none with symmetry breaking off.
+    #[inline]
+    fn mat_bounds(&self, u: u8) -> SliceBounds {
+        if self.symmetry {
+            self.plan.mat_bounds()[u as usize]
+        } else {
+            SliceBounds::NONE
         }
     }
 
@@ -1158,14 +1197,68 @@ mod tests {
     }
 
     #[test]
+    fn comp_bounds_respect_readers_of_the_cut_set() {
+        // Two triangles sharing the edge u0-u1, with the explicit order
+        // u1 < u2 only. C(u2) = N(φ(u1)) ∩ C(u1) is read by the alias
+        // C(u3) := C(u2), and u3 is not ordered against u1: cutting C(u2)
+        // above φ(u1) would lose every u3 below it. So u1 bounds MAT(u2)
+        // but not COMP(u2).
+        let p =
+            light_pattern::PatternGraph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]);
+        let po = light_pattern::PartialOrder::from_pairs(vec![(1, 2)]);
+        let plan = QueryPlan::with_order(
+            &p,
+            &[0, 1, 2, 3],
+            po.clone(),
+            light_order::plan::Materialization::Lazy,
+            light_order::plan::CandidateStrategy::MinSetCover,
+        );
+        assert_eq!(plan.operands()[3].k2, vec![2], "{}", plan.explain());
+        assert_eq!(plan.operands()[3].num_operands(), 1);
+        assert!(plan.comp_bounds()[2].is_empty(), "{}", plan.explain());
+        assert_eq!(plan.mat_bounds()[2].lower, 0b10);
+        let g = generators::barabasi_albert(60, 5, 11);
+        let expect = crate::reference::count_matches(&p, &g, Some(&po));
+        assert!(expect > 0);
+        let mut v = CountVisitor::default();
+        let cfg = EngineConfig::light();
+        assert_eq!(run_plan(&plan, &g, &cfg, &mut v).matches, expect);
+
+        // Readers of readers count too: in K5 over π = 0..4, C(u3) =
+        // N(φ(u2)) ∩ C(u2) and C(u4) = N(φ(u3)) ∩ C(u3), so C(u4) derives
+        // from C(u2). With u0 < u2 and u0 < u3 only, u0 bounds neither
+        // COMP(u2) nor COMP(u3) — a cut there would lose u4's ids below
+        // φ(u0).
+        let k5 = light_pattern::PatternGraph::complete(5);
+        let po = light_pattern::PartialOrder::from_pairs(vec![(0, 2), (0, 3)]);
+        let plan = QueryPlan::with_order(
+            &k5,
+            &[0, 1, 2, 3, 4],
+            po.clone(),
+            light_order::plan::Materialization::Lazy,
+            light_order::plan::CandidateStrategy::MinSetCover,
+        );
+        assert_eq!(plan.operands()[4].k2, vec![3], "{}", plan.explain());
+        assert_eq!(plan.operands()[3].k2, vec![2], "{}", plan.explain());
+        assert!(plan.comp_bounds()[2].is_empty(), "{}", plan.explain());
+        assert!(plan.comp_bounds()[3].is_empty(), "{}", plan.explain());
+        let g = generators::complete(9);
+        let expect = crate::reference::count_matches(&k5, &g, Some(&po));
+        let mut v = CountVisitor::default();
+        assert_eq!(run_plan(&plan, &g, &cfg, &mut v).matches, expect);
+    }
+
+    #[test]
     fn aux_cache_hits_and_is_count_neutral() {
         // The square (P1) carries a trim directive; on a graph with shared
         // neighborhoods the key vertex recurs across siblings, so the
         // cache must record hits — and the count must match cache-off.
+        // Symmetry breaking is off: under it the directive's slot has
+        // slice bounds and gets no directive.
         let g = generators::barabasi_albert(300, 6, 41);
         let p = Query::P1.pattern();
-        let on = EngineConfig::light().aux_cache(true);
-        let off = EngineConfig::light().aux_cache(false);
+        let on = EngineConfig::light().symmetry(false).aux_cache(true);
+        let off = EngineConfig::light().symmetry(false).aux_cache(false);
         let plan_on = on.plan(&p, &g);
         assert!(
             !plan_on.aux_directives().is_empty(),
@@ -1192,14 +1285,18 @@ mod tests {
     fn aux_cache_under_memory_pressure_degrades_not_dies() {
         // Watermark sized so candidates alone fit but candidates + cache
         // do not: the run must complete with the exact count, shedding the
-        // cache instead of reporting MemoryExceeded.
+        // cache instead of reporting MemoryExceeded. Symmetry breaking is
+        // off so that P1 plans a directive (see above).
         let g = generators::barabasi_albert(300, 6, 41);
         let p = Query::P1.pattern();
-        let off = EngineConfig::light().aux_cache(false);
+        let off = EngineConfig::light().symmetry(false).aux_cache(false);
         let mut v = CountVisitor::default();
         let r_off = run_plan(&off.plan(&p, &g), &g, &off, &mut v);
         let budget = r_off.stats.peak_candidate_bytes * 2 + 256;
-        let on = EngineConfig::light().aux_cache(true).max_memory(budget);
+        let on = EngineConfig::light()
+            .symmetry(false)
+            .aux_cache(true)
+            .max_memory(budget);
         let mut v = CountVisitor::default();
         let r_on = run_plan(&on.plan(&p, &g), &g, &on, &mut v);
         assert_eq!(r_on.outcome, Outcome::Complete, "{:?}", r_on.stats.aux);

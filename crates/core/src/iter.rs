@@ -5,8 +5,9 @@
 //! `Iterator` they can `take`, `filter`, or feed into channels without
 //! inverting control. [`MatchIter`] reimplements the σ interpreter as an
 //! explicit-stack state machine with identical semantics: same plan, same
-//! candidate aliasing, same injectivity and symmetry checks, and the exact
-//! same match order as the recursive engine (verified by tests).
+//! candidate aliasing, same injectivity and symmetry constraints (checked
+//! per candidate here; the recursive engine cuts id ranges instead), and
+//! the exact same match order as the recursive engine (verified by tests).
 
 use light_graph::{CsrGraph, VertexId, INVALID_VERTEX};
 use light_order::exec_order::ExecOp;

@@ -2,14 +2,17 @@
 //! patterns, *random* connected enumeration orders, and random data graphs,
 //! every (materialization × candidate-strategy) plan must produce exactly
 //! the brute-force reference count. This exercises lazy materialization,
-//! set-cover operands, aliasing, symmetry breaking, and the executor's
-//! buffer reuse in combinations the catalog never reaches.
+//! set-cover operands, aliasing, symmetry breaking (the slice bounds it
+//! puts on COMP and MAT), and the executor's buffer reuse in combinations
+//! the catalog never reaches — serially and through the work-stealing
+//! driver. `PROPTEST_CASES=512` soaks it deeper.
 
 use proptest::prelude::*;
 
 use light_core::{engine::run_plan, CountVisitor, EngineConfig, EngineVariant};
 use light_graph::generators;
 use light_order::plan::{CandidateStrategy, Materialization, QueryPlan};
+use light_parallel::{run_plan_parallel, ParallelConfig};
 use light_pattern::{PartialOrder, PatternGraph, PatternVertex};
 
 fn connected_pattern() -> impl Strategy<Value = PatternGraph> {
@@ -29,6 +32,30 @@ fn connected_pattern() -> impl Strategy<Value = PatternGraph> {
             p
         })
     })
+}
+
+/// A clique on 4–6 vertices with up to three edges removed (kept only if
+/// still connected): nested backward neighborhoods, so the set-cover plans
+/// chain K2 reads several levels deep.
+fn near_clique() -> impl Strategy<Value = PatternGraph> {
+    (
+        4usize..=6,
+        proptest::collection::vec((0u8..6, 0u8..6), 0..4),
+    )
+        .prop_map(|(n, cut)| {
+            let k = PatternGraph::complete(n);
+            let keep: Vec<_> = k
+                .edges()
+                .into_iter()
+                .filter(|&(a, b)| !cut.contains(&(a, b)) && !cut.contains(&(b, a)))
+                .collect();
+            let p = PatternGraph::from_edges(n, &keep);
+            if p.is_connected() {
+                p
+            } else {
+                k
+            }
+        })
 }
 
 fn random_connected_order(p: &PatternGraph, seeds: &[usize]) -> Vec<PatternVertex> {
@@ -76,6 +103,54 @@ proptest! {
                     got, expect,
                     "pi={:?} mat={:?} strat={:?} pattern edges={:?}",
                     pi, mat, strat, p.edges()
+                );
+                let par = run_plan_parallel(&plan, &g, &cfg, &ParallelConfig::new(2));
+                prop_assert_eq!(
+                    par.report.matches, expect,
+                    "parallel pi={:?} mat={:?} strat={:?} pattern edges={:?}",
+                    pi, mat, strat, p.edges()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn arbitrary_partial_orders_match_reference(
+        p in near_clique(),
+        order_seeds in proptest::collection::vec(0usize..100, 6),
+        pairs in proptest::collection::vec((0u8..6, 0u8..6), 0..8),
+        n in 7usize..11,
+        graph_seed in 0u64..300,
+    ) {
+        // Orders no automorphism group produces (any acyclic pair set —
+        // here pairs point from smaller to larger vertex ids) reach slice
+        // bound shapes the catalog's orders never do, e.g. a cut set read,
+        // directly or through another reader, by a vertex the bound vertex
+        // is not ordered against. Dense patterns and graphs, so that
+        // chains of K2 reads occur and find matches.
+        let nv = p.num_vertices() as u8;
+        let mut po_pairs: Vec<(PatternVertex, PatternVertex)> = pairs
+            .into_iter()
+            .filter(|&(a, b)| a < b && b < nv)
+            .collect();
+        po_pairs.sort_unstable();
+        po_pairs.dedup();
+        let po = PartialOrder::from_pairs(po_pairs);
+        let g = generators::erdos_renyi(n, n * (n - 1) / 3, graph_seed);
+        let expect = light_core::reference::count_matches(&p, &g, Some(&po));
+        let pi = random_connected_order(&p, &order_seeds);
+        for mat in [Materialization::Eager, Materialization::Lazy] {
+            for strat in [
+                CandidateStrategy::BackwardNeighbors,
+                CandidateStrategy::MinSetCover,
+            ] {
+                let plan = QueryPlan::with_order(&p, &pi, po.clone(), mat, strat);
+                let mut v = CountVisitor::default();
+                let got = run_plan(&plan, &g, &EngineConfig::light(), &mut v).matches;
+                prop_assert_eq!(
+                    got, expect,
+                    "po={:?} pi={:?} mat={:?} strat={:?} pattern edges={:?}",
+                    po.pairs(), pi, mat, strat, p.edges()
                 );
             }
         }

@@ -34,8 +34,8 @@ impl CflSim {
     pub fn run(p: &PatternGraph, g: &CsrGraph, budget: &Budget) -> SimReport {
         let pi = cfl_order(p);
         let po = PartialOrder::for_pattern(p);
-        // CFL's partial-order support mirrors the others: constraints are
-        // checked at bind time by the shared engine.
+        // CFL's partial-order support mirrors the others: the shared engine
+        // enforces the constraints through the plan's slice bounds.
         let plan = QueryPlan::with_order(
             p,
             &pi,

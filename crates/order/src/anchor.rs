@@ -27,17 +27,7 @@ pub fn anchor_info(p: &PatternGraph, eo: &ExecutionOrder) -> AnchorInfo {
     let mut anchors = vec![0u16; n];
     let mut free = vec![0u16; n];
 
-    // Position of each op in σ.
-    let mut mat_pos = vec![usize::MAX; n];
-    let mut comp_pos = vec![usize::MAX; n];
-    for (idx, op) in eo.sigma().iter().enumerate() {
-        let v = op.vertex() as usize;
-        if op.is_mat() {
-            mat_pos[v] = idx;
-        } else {
-            comp_pos[v] = idx;
-        }
-    }
+    let (mat_pos, comp_pos) = eo.slots();
 
     let pi = eo.pi();
     for (i, &u) in pi.iter().enumerate().skip(1) {

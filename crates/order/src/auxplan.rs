@@ -32,7 +32,10 @@
 //! 3. at least one MAT slot lies strictly between the fixed-prefix slot
 //!    `s` and `COMP(u)` (otherwise every execution sees a fresh prefix and
 //!    nothing can recur);
-//! 4. the estimated reuse per cached entry clears a benefit threshold.
+//! 4. the estimated reuse per cached entry clears a benefit threshold;
+//! 5. `COMP(u)` has no symmetry-breaking slice bounds (see
+//!    [`crate::bounds`]): a cut result also depends on φ of the bound
+//!    vertices, which the single-vertex key does not cover.
 //!
 //! The reuse estimate composes the same expand factors the Eq. 8 cost
 //! model uses: MAT loops in `(m, c)` multiply in their expected candidate
@@ -78,28 +81,20 @@ pub struct TrimDirective {
 }
 
 /// Compute the trim directives for a plan. `operands` is indexed by
-/// pattern vertex; `est` is `None` for plans built without a data graph
-/// (every structurally eligible slot is then enabled).
+/// pattern vertex; `bounded` masks the vertices whose COMP has slice
+/// bounds (they get no directive); `est` is `None` for plans built without
+/// a data graph (every structurally eligible slot is then enabled).
 pub fn plan_trims(
     p: &PatternGraph,
     exec: &ExecutionOrder,
     operands: &[Operands],
+    bounded: u16,
     est: Option<&Estimator>,
     threshold: f64,
 ) -> Vec<TrimDirective> {
     let sigma = exec.sigma();
     let pi = exec.pi();
-    let n = p.num_vertices();
-
-    // σ positions of each vertex's MAT and COMP.
-    let mut mat_slot = vec![usize::MAX; n];
-    let mut comp_slot = vec![usize::MAX; n];
-    for (i, op) in sigma.iter().enumerate() {
-        match *op {
-            ExecOp::Mat(u) => mat_slot[u as usize] = i,
-            ExecOp::Comp(u) => comp_slot[u as usize] = i,
-        }
-    }
+    let (mat_slot, comp_slot) = exec.slots();
 
     // Expected MAT loop count per σ slot (expand factor of the vertex's
     // backward-edge count), for the reuse estimate.
@@ -127,7 +122,7 @@ pub fn plan_trims(
     let mut out = Vec::new();
     for &u in &pi[1..] {
         let ops = &operands[u as usize];
-        if ops.num_operands() < 2 {
+        if ops.num_operands() < 2 || bounded & (1 << u) != 0 {
             continue;
         }
         // Ready slot of each operand: K1 anchors at their MAT, K2 cached
@@ -224,7 +219,7 @@ mod tests {
         let p = q.pattern();
         let exec = ExecutionOrder::generate(&p, pi);
         let ops = generate_operands(&p, pi);
-        plan_trims(&p, &exec, &ops, None, DEFAULT_AUX_THRESHOLD)
+        plan_trims(&p, &exec, &ops, 0, None, DEFAULT_AUX_THRESHOLD)
     }
 
     #[test]
@@ -272,10 +267,10 @@ mod tests {
         let ops = generate_operands(&p, &pi);
         let g = generators::barabasi_albert(500, 4, 3);
         let est = Estimator::from_graph(&g);
-        let keep = plan_trims(&p, &exec, &ops, Some(&est), 0.0);
+        let keep = plan_trims(&p, &exec, &ops, 0, Some(&est), 0.0);
         assert_eq!(keep.len(), 1);
         assert!(keep[0].est_reuse.is_finite() && keep[0].est_reuse >= 1.0);
-        let drop = plan_trims(&p, &exec, &ops, Some(&est), 1e12);
+        let drop = plan_trims(&p, &exec, &ops, 0, Some(&est), 1e12);
         assert!(drop.is_empty());
     }
 
@@ -287,7 +282,7 @@ mod tests {
         let pi = [0u8, 1, 2, 3];
         let exec = ExecutionOrder::eager(&p, &pi);
         let ops = crate::plan::plain_operands(&p, &pi);
-        let ds = plan_trims(&p, &exec, &ops, None, DEFAULT_AUX_THRESHOLD);
+        let ds = plan_trims(&p, &exec, &ops, 0, None, DEFAULT_AUX_THRESHOLD);
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].target, 3);
         assert_eq!(ds[0].key, 2);
@@ -303,7 +298,7 @@ mod tests {
             }
             let exec = ExecutionOrder::generate(&p, &pi);
             let ops = generate_operands(&p, &pi);
-            for d in plan_trims(&p, &exec, &ops, None, DEFAULT_AUX_THRESHOLD) {
+            for d in plan_trims(&p, &exec, &ops, 0, None, DEFAULT_AUX_THRESHOLD) {
                 assert!(d.guard_slot <= d.anchor_slot);
                 assert!(exec.sigma()[d.guard_slot].is_mat());
                 for i in d.guard_slot + 1..=d.anchor_slot {

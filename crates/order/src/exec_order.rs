@@ -111,6 +111,22 @@ impl ExecutionOrder {
         &self.sigma
     }
 
+    /// σ positions of each vertex's MAT and of its COMP, indexed by pattern
+    /// vertex (`usize::MAX` for the root's absent COMP). Vertices are those
+    /// of π.
+    pub fn slots(&self) -> (Vec<usize>, Vec<usize>) {
+        let n = self.pi.len();
+        let mut mat = vec![usize::MAX; n];
+        let mut comp = vec![usize::MAX; n];
+        for (i, op) in self.sigma.iter().enumerate() {
+            match *op {
+                ExecOp::Mat(u) => mat[u as usize] = i,
+                ExecOp::Comp(u) => comp[u as usize] = i,
+            }
+        }
+        (mat, comp)
+    }
+
     /// The materialization order π′: pattern vertices in the order of their
     /// MAT operations (used by the cost model's materialization term, §VI).
     pub fn mat_order(&self) -> Vec<PatternVertex> {

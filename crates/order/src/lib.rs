@@ -23,6 +23,9 @@
 //! * [`auxplan`] — the auxiliary-cache planning pass: which COMPs profit
 //!   from memoizing trimmed adjacency lists across sibling subtrees, decided
 //!   with the same Eq. 8 expand factors.
+//! * [`bounds`] — the symmetry-breaking slice bounds of each COMP and MAT:
+//!   which bound vertices cut a sorted candidate list to the id range the
+//!   partial order allows (§II-A).
 //! * [`plan`] — [`plan::QueryPlan`], the bundle the engines consume.
 //!
 //! ```
@@ -40,6 +43,7 @@
 pub mod anchor;
 pub mod anchored;
 pub mod auxplan;
+pub mod bounds;
 pub mod cost;
 pub mod estimate;
 pub mod exec_order;
@@ -49,6 +53,7 @@ pub mod setcover;
 
 pub use anchored::{anchor_pairs, anchored_plan, anchored_plans, AnchoredPlan};
 pub use auxplan::{TrimDirective, DEFAULT_AUX_THRESHOLD};
+pub use bounds::SliceBounds;
 pub use exec_order::{ExecOp, ExecutionOrder};
 pub use multiplan::{
     MultiNode, MultiPlan, MultiPlanError, MultiPlanStats, NormOp, MAX_MULTI_MEMBERS,

@@ -3,8 +3,9 @@
 //! A plan fixes everything that is decided *before* the recursive search
 //! starts: the enumeration order π (§VI), the execution order σ (§IV), the
 //! intersection operands K1/K2 (§V), and the symmetry-breaking constraints
-//! (§II-A). The four engine variants of the evaluation (SE / LM / MSC /
-//! LIGHT, §VIII-B1) are exactly the four combinations of
+//! (§II-A) with the slice bounds they imply for each COMP and MAT (see
+//! [`crate::bounds`]). The four engine variants of the evaluation (SE / LM /
+//! MSC / LIGHT, §VIII-B1) are exactly the four combinations of
 //! `{eager, lazy} × {plain, set-cover}` plans over the *same* π, which is
 //! how the paper isolates each technique.
 
@@ -16,6 +17,7 @@ use light_pattern::{PartialOrder, PatternGraph, PatternVertex};
 
 use crate::anchor::{anchor_info, AnchorInfo};
 use crate::auxplan::{plan_trims, TrimDirective, DEFAULT_AUX_THRESHOLD};
+use crate::bounds::{comp_bounds, mat_bounds, SliceBounds};
 use crate::cost::choose_order;
 use crate::estimate::Estimator;
 use crate::exec_order::ExecutionOrder;
@@ -48,6 +50,8 @@ pub struct QueryPlan {
     anchors: AnchorInfo,
     partial_order: PartialOrder,
     constraints: Vec<VertexConstraints>,
+    comp_bounds: Vec<SliceBounds>,
+    mat_bounds: Vec<SliceBounds>,
     materialization: Materialization,
     strategy: CandidateStrategy,
     aux: Vec<TrimDirective>,
@@ -175,7 +179,13 @@ impl QueryPlan {
         };
         let anchors = anchor_info(pattern, &exec);
         let constraints = partial_order.per_vertex(pattern.num_vertices());
-        let aux = plan_trims(pattern, &exec, &operands, est, aux_threshold);
+        let comp_bounds = comp_bounds(pattern, &exec, &operands, &partial_order);
+        let mat_bounds = mat_bounds(pattern, &exec, &partial_order);
+        let bounded = pattern
+            .vertices()
+            .filter(|&u| !comp_bounds[u as usize].is_empty())
+            .fold(0u16, |m, u| m | (1 << u));
+        let aux = plan_trims(pattern, &exec, &operands, bounded, est, aux_threshold);
         let mut aux_for = vec![None; pattern.num_vertices()];
         for (i, d) in aux.iter().enumerate() {
             aux_for[d.target as usize] = Some(i as u8);
@@ -187,6 +197,8 @@ impl QueryPlan {
             anchors,
             partial_order,
             constraints,
+            comp_bounds,
+            mat_bounds,
             materialization,
             strategy,
             aux,
@@ -232,6 +244,18 @@ impl QueryPlan {
     /// Per-vertex symmetry constraints for bind-time checking.
     pub fn constraints(&self) -> &[VertexConstraints] {
         &self.constraints
+    }
+
+    /// Slice bounds of each vertex's COMP (indexed by vertex ID; see
+    /// [`crate::bounds`]). Empty for aliases and without a partial order.
+    pub fn comp_bounds(&self) -> &[SliceBounds] {
+        &self.comp_bounds
+    }
+
+    /// Slice bounds of each vertex's MAT: the constraint endpoints already
+    /// bound when it runs (indexed by vertex ID).
+    pub fn mat_bounds(&self) -> &[SliceBounds] {
+        &self.mat_bounds
     }
 
     /// The materialization mode of this plan.
@@ -290,12 +314,22 @@ impl QueryPlan {
                 let k1: Vec<String> = ops.k1.iter().map(|w| format!("N(phi(u{w}))")).collect();
                 let k2: Vec<String> = ops.k2.iter().map(|w| format!("C(u{w})")).collect();
                 let all = [k1, k2].concat().join(" \u{2229} ");
+                let cut = match self.comp_bounds[u as usize] {
+                    b if b.is_empty() => String::new(),
+                    b => format!(" \u{2229} {}", id_interval(b)),
+                };
                 let _ = writeln!(
                     s,
-                    "  C(u{u}) = {all}  [{} intersection(s); anchors {:?}]",
+                    "  C(u{u}) = {all}{cut}  [{} intersection(s); anchors {:?}]",
                     ops.intersections(),
                     bits(self.anchors.anchors[u as usize]).collect::<Vec<_>>()
                 );
+            }
+        }
+        for u in p.vertices() {
+            let b = self.mat_bounds[u as usize];
+            if !b.is_empty() {
+                let _ = writeln!(s, "  MAT(u{u}) over C(u{u}) \u{2229} {}", id_interval(b));
             }
         }
         let _ = writeln!(
@@ -312,6 +346,24 @@ impl QueryPlan {
         }
         s
     }
+}
+
+/// The open id interval a [`SliceBounds`] allows, e.g.
+/// `(max(phi(u0), phi(u1)), \u{221e})`.
+fn id_interval(b: SliceBounds) -> String {
+    let side = |mask: u16, fold: &str, none: &str| {
+        let vs: Vec<String> = bits(mask).map(|w| format!("phi(u{w})")).collect();
+        match vs.len() {
+            0 => none.to_string(),
+            1 => vs[0].clone(),
+            _ => format!("{fold}({})", vs.join(", ")),
+        }
+    };
+    format!(
+        "({}, {})",
+        side(b.lower, "max", "-\u{221e}"),
+        side(b.upper, "min", "\u{221e}")
+    )
 }
 
 /// SE's operand rule: `K1 = N+^π(u)`, `K2 = ∅` (Algorithm 1, line 14).
@@ -407,6 +459,87 @@ mod tests {
         assert_eq!(light.per_path_intersections(), 1);
     }
 
+    /// The LIGHT plan of a catalog query over an explicit π.
+    fn light_plan(q: Query, pi: &[PatternVertex]) -> QueryPlan {
+        QueryPlan::with_order(
+            &q.pattern(),
+            pi,
+            q.partial_order(),
+            Materialization::Lazy,
+            CandidateStrategy::MinSetCover,
+        )
+    }
+
+    fn lower(mask: u16) -> SliceBounds {
+        SliceBounds {
+            lower: mask,
+            upper: 0,
+        }
+    }
+
+    #[test]
+    fn catalog_slice_bounds() {
+        // π as the optimizer picks it on lj, BA-50k and BA-500k.
+        let tri = light_plan(Query::Triangle, &[0, 1, 2]);
+        assert_eq!(tri.comp_bounds()[2], lower(0b11));
+        assert_eq!(tri.mat_bounds()[1], lower(0b1));
+        assert_eq!(tri.mat_bounds()[2], lower(0b11));
+
+        // Square: C(u3) = N(φ(u2)) ∩ C(u1) is cut above φ(u0), φ(u1); u2
+        // is not ordered against u3, and C(u1), C(u2) are aliases.
+        let p1 = light_plan(Query::P1, &[0, 1, 2, 3]);
+        let comp: Vec<SliceBounds> = p1.comp_bounds().to_vec();
+        assert_eq!(
+            comp,
+            vec![
+                SliceBounds::NONE,
+                SliceBounds::NONE,
+                SliceBounds::NONE,
+                lower(0b11)
+            ]
+        );
+        assert_eq!(p1.mat_bounds()[2], lower(0b1));
+        assert_eq!(p1.mat_bounds()[3], lower(0b11));
+
+        // House: only 0 < 3; C(u3) = N(φ(u2)) ∩ C(u2) is cut above φ(u0).
+        let p4 = light_plan(Query::P4, &[0, 2, 3, 1, 4]);
+        assert_eq!(p4.comp_bounds()[3], lower(0b1));
+        assert!(p4.comp_bounds()[4].is_empty());
+        assert_eq!(p4.mat_bounds()[3], lower(0b1));
+
+        // 5-clique: each COMP is cut above every earlier vertex.
+        let p7 = light_plan(Query::P7, &[0, 1, 2, 3, 4]);
+        assert_eq!(p7.comp_bounds()[4], lower(0b1111));
+        assert_eq!(p7.comp_bounds()[3], lower(0b111));
+
+        // Diamond (0 < 2, 1 < 3): the one real COMP, C(u1) = N(φ(u2)) ∩
+        // C(u2), has bound vertices u0 and u2, neither ordered against u1
+        // — no COMP is cut; the MATs keep their bounds.
+        let p2 = light_plan(Query::P2, &[0, 2, 1, 3]);
+        assert!(p2.comp_bounds().iter().all(|b| b.is_empty()));
+        assert_eq!(p2.mat_bounds()[2], lower(0b1));
+        assert_eq!(p2.mat_bounds()[3], lower(0b10));
+    }
+
+    #[test]
+    fn bounded_slots_get_no_trim_directive() {
+        // P1's directive slot u3 is bounded under symmetry breaking; with
+        // an empty partial order the same slot plans its directive.
+        let p = Query::P1.pattern();
+        let pi = [0u8, 1, 2, 3];
+        assert!(light_plan(Query::P1, &pi).aux_directives().is_empty());
+        let free = QueryPlan::with_order(
+            &p,
+            &pi,
+            PartialOrder::none(),
+            Materialization::Lazy,
+            CandidateStrategy::MinSetCover,
+        );
+        assert_eq!(free.aux_directives().len(), 1);
+        assert!(free.comp_bounds().iter().all(|b| b.is_empty()));
+        assert!(free.mat_bounds().iter().all(|b| b.is_empty()));
+    }
+
     #[test]
     fn constraints_are_exposed() {
         let g = small_graph();
@@ -435,5 +568,44 @@ mod explain_tests {
         assert!(text.contains("C(u3) = C(u1)"), "{text}");
         assert!(text.contains("per-path set intersections: 1"), "{text}");
         assert!(text.contains("[root]"), "{text}");
+    }
+
+    #[test]
+    fn explain_shows_slices_and_mat_ranges() {
+        let g = generators::barabasi_albert(300, 4, 3);
+        let plan = QueryPlan::optimized(&Query::Triangle.pattern(), &g);
+        assert_eq!(plan.pi(), &[0, 1, 2]);
+        let text = plan.explain();
+        assert!(
+            text.contains(
+                "C(u2) = N(phi(u1)) \u{2229} C(u1) \u{2229} (max(phi(u0), phi(u1)), \u{221e})"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("MAT(u1) over C(u1) \u{2229} (phi(u0), \u{221e})"),
+            "{text}"
+        );
+        assert!(
+            text.contains("MAT(u2) over C(u2) \u{2229} (max(phi(u0), phi(u1)), \u{221e})"),
+            "{text}"
+        );
+        // An upper bound prints on the right; the unbounded side as -∞.
+        let rev = QueryPlan::with_order(
+            &Query::Triangle.pattern(),
+            &[2, 1, 0],
+            Query::Triangle.partial_order(),
+            Materialization::Lazy,
+            CandidateStrategy::MinSetCover,
+        );
+        let text = rev.explain();
+        assert!(
+            text.contains("\u{2229} (-\u{221e}, min(phi(u1), phi(u2)))"),
+            "{text}"
+        );
+        assert!(
+            text.contains("MAT(u1) over C(u1) \u{2229} (-\u{221e}, phi(u2))"),
+            "{text}"
+        );
     }
 }

@@ -486,6 +486,19 @@ impl Shared {
     }
 }
 
+/// Cut a donated root range `[lo, hi)` (non-empty) into at most `pieces`
+/// contiguous tasks of `⌈len / pieces⌉` roots each, the last possibly
+/// shorter. Ceiling-sized chunks can cover the range in *fewer* than
+/// `pieces` tasks (`len = 5, pieces = 4` gives chunk 2 and three tasks), so
+/// callers count the tasks this yields rather than assuming `pieces`.
+fn donation_pieces(lo: VertexId, hi: VertexId, pieces: usize) -> impl Iterator<Item = Task> {
+    debug_assert!(lo < hi && pieces >= 1);
+    let chunk = ((hi - lo) as usize).div_ceil(pieces);
+    (lo..hi)
+        .step_by(chunk)
+        .map(move |plo| (plo, (plo + chunk as VertexId).min(hi)))
+}
+
 /// What one per-root step under `catch_unwind` did.
 enum RootStep {
     /// Donated `[mid, hi)` (possibly as several sub-tasks); the donor
@@ -708,20 +721,15 @@ pub fn run_plan_parallel(
                                 // pressure = one piece = the paper's plain
                                 // donate-half. One ticket funds the whole
                                 // batch, keeping donations ≤ tickets.
-                                let len = (hi - mid) as usize;
-                                let pieces = (1 + shared.take_pressure())
-                                    .min(len)
-                                    .min(MAX_DONATION_PIECES);
-                                let chunk = len.div_ceil(pieces) as VertexId;
-                                let mut plo = mid;
-                                while plo < hi {
-                                    let phi = (plo + chunk).min(hi);
-                                    shared.submit(&local, (plo, phi));
-                                    plo = phi;
+                                let pieces = (1 + shared.take_pressure()).min(MAX_DONATION_PIECES);
+                                let mut submitted = 0u64;
+                                for task in donation_pieces(mid, hi, pieces) {
+                                    shared.submit(&local, task);
+                                    submitted += 1;
                                 }
                                 return RootStep::Donated {
                                     mid,
-                                    extra: pieces as u64 - 1,
+                                    extra: submitted - 1,
                                 };
                             }
                             enumerator.run_range(lo, lo + 1);
@@ -1241,6 +1249,28 @@ mod tests {
         // Splitting must never break the demand-ticket bound.
         let tickets: u64 = pr.workers.iter().map(|w| w.tickets).sum();
         assert!(donations <= tickets);
+    }
+
+    #[test]
+    fn donation_pieces_tile_the_range_and_count_what_they_submit() {
+        // Ceiling chunks can need fewer tasks than requested: 5 roots in
+        // 4 pieces is chunk 2, i.e. 3 tasks — counting `pieces - 1` splits
+        // would over-report one.
+        let tasks: Vec<Task> = donation_pieces(10, 15, 4).collect();
+        assert_eq!(tasks, vec![(10, 12), (12, 14), (14, 15)]);
+        assert_eq!(donation_pieces(0, 1, 1).collect::<Vec<_>>(), vec![(0, 1)]);
+        // More pieces than roots: one root per task.
+        assert_eq!(donation_pieces(3, 5, 8).count(), 2);
+        for len in 1..40u32 {
+            for pieces in 1..=MAX_DONATION_PIECES {
+                let tasks: Vec<Task> = donation_pieces(100, 100 + len, pieces).collect();
+                assert!(!tasks.is_empty() && tasks.len() <= pieces);
+                assert_eq!(tasks[0].0, 100);
+                assert_eq!(tasks.last().unwrap().1, 100 + len);
+                assert!(tasks.windows(2).all(|w| w[0].1 == w[1].0));
+                assert!(tasks.iter().all(|&(a, b)| a < b));
+            }
+        }
     }
 
     #[test]

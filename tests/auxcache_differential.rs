@@ -8,6 +8,10 @@
 //!
 //! Structural plans (threshold 0) force a directive onto every eligible
 //! slot, so the cache is exercised even where the cost model would decline.
+//! Every leg runs with symmetry breaking on and off: under it most catalog
+//! directive slots carry slice bounds and get no directive (DESIGN.md §6,
+//! §11), so the cache does its work mainly in the symmetry-off legs, while
+//! the symmetry-on legs check that bounded and cached COMPs mix soundly.
 
 use proptest::prelude::*;
 
@@ -15,6 +19,14 @@ use light::core::{EngineConfig, EngineVariant, Outcome};
 use light::graph::generators;
 use light::parallel::{run_query_parallel, ParallelConfig};
 use light::pattern::Query;
+
+/// Symmetry-breaking settings every leg runs under.
+const SYMMETRY: [bool; 2] = [true, false];
+
+/// Each query under each symmetry-breaking setting.
+fn legs(queries: &[Query]) -> impl Iterator<Item = (Query, bool)> + '_ {
+    queries.iter().flat_map(|&q| SYMMETRY.map(|s| (q, s)))
+}
 
 /// The full pattern catalog plus the triangle.
 const CATALOG: [Query; 8] = [
@@ -33,23 +45,25 @@ fn full_catalog_matches_with_cache_on_and_off() {
     // Deterministic leg: every catalog pattern, serial, both thresholds
     // (default cost-model planning and forced structural planning).
     let g = generators::barabasi_albert(250, 6, 97);
-    for q in CATALOG {
+    let mut hits = 0;
+    for (q, symmetry) in legs(&CATALOG) {
         let p = q.pattern();
-        let off = light::core::run_query(&p, &g, &EngineConfig::light().aux_cache(false));
+        let base = EngineConfig::light().symmetry(symmetry);
+        let off = light::core::run_query(&p, &g, &base.clone().aux_cache(false));
         for threshold in [light::order::DEFAULT_AUX_THRESHOLD, 0.0] {
-            let cfg = EngineConfig::light()
-                .aux_cache(true)
-                .aux_threshold(threshold);
+            let cfg = base.clone().aux_cache(true).aux_threshold(threshold);
             let on = light::core::run_query(&p, &g, &cfg);
             assert_eq!(
                 on.matches,
                 off.matches,
-                "{} threshold {threshold}",
+                "{} threshold {threshold} symmetry {symmetry}",
                 q.name()
             );
             assert_eq!(on.outcome, Outcome::Complete);
+            hits += on.stats.aux.hits;
         }
     }
+    assert!(hits > 0, "no catalog run hit the cache");
 }
 
 proptest! {
@@ -62,19 +76,19 @@ proptest! {
         seed in 0u64..400,
     ) {
         let g = generators::barabasi_albert(n, k, seed);
-        for q in CATALOG {
+        for (q, symmetry) in legs(&CATALOG) {
             let p = q.pattern();
             for variant in EngineVariant::ALL {
-                let off = light::core::run_query(
-                    &p, &g, &EngineConfig::with_variant(variant).aux_cache(false));
+                let base = EngineConfig::with_variant(variant).symmetry(symmetry);
+                let off = light::core::run_query(&p, &g, &base.clone().aux_cache(false));
                 // Threshold 0 maximizes directives on small random graphs,
                 // where the cost model would usually say "not worth it".
                 let on = light::core::run_query(
-                    &p, &g,
-                    &EngineConfig::with_variant(variant).aux_cache(true).aux_threshold(0.0));
+                    &p, &g, &base.clone().aux_cache(true).aux_threshold(0.0));
                 prop_assert_eq!(
                     on.matches, off.matches,
-                    "{} {} n={} k={} seed={}", q.name(), variant.name(), n, k, seed
+                    "{} {} symmetry={} n={} k={} seed={}",
+                    q.name(), variant.name(), symmetry, n, k, seed
                 );
             }
         }
@@ -88,15 +102,15 @@ proptest! {
     ) {
         let g = generators::barabasi_albert(n, 4, seed);
         let pc = ParallelConfig::new(threads);
-        for q in [Query::Triangle, Query::P1, Query::P2, Query::P5] {
+        for (q, symmetry) in legs(&[Query::Triangle, Query::P1, Query::P2, Query::P5]) {
             let p = q.pattern();
-            let off = run_query_parallel(
-                &p, &g, &EngineConfig::light().aux_cache(false), &pc);
+            let base = EngineConfig::light().symmetry(symmetry);
+            let off = run_query_parallel(&p, &g, &base.clone().aux_cache(false), &pc);
             let on = run_query_parallel(
-                &p, &g, &EngineConfig::light().aux_cache(true).aux_threshold(0.0), &pc);
+                &p, &g, &base.clone().aux_cache(true).aux_threshold(0.0), &pc);
             prop_assert_eq!(
                 on.report.matches, off.report.matches,
-                "{} n={} seed={} threads={}", q.name(), n, seed, threads
+                "{} symmetry={} n={} seed={} threads={}", q.name(), symmetry, n, seed, threads
             );
             prop_assert!(on.failures.is_empty() && off.failures.is_empty());
         }
@@ -112,25 +126,25 @@ proptest! {
         // run must stay Complete with the exact count (the cache degrades,
         // never causes MemoryExceeded).
         let g = generators::barabasi_albert(n, 6, seed);
-        for q in [Query::P1, Query::P2, Query::P5] {
+        for (q, symmetry) in legs(&[Query::P1, Query::P2, Query::P5]) {
             let p = q.pattern();
-            let off = light::core::run_query(
-                &p, &g, &EngineConfig::light().aux_cache(false));
+            let base = EngineConfig::light().symmetry(symmetry);
+            let off = light::core::run_query(&p, &g, &base.clone().aux_cache(false));
             prop_assert_eq!(off.outcome, Outcome::Complete);
             let budget = off.stats.peak_candidate_bytes * 2 + 512;
             let on = light::core::run_query(
                 &p, &g,
-                &EngineConfig::light()
+                &base.clone()
                     .aux_cache(true)
                     .aux_threshold(0.0)
                     .max_memory(budget));
             prop_assert_eq!(
                 on.outcome, Outcome::Complete,
-                "{} n={} seed={} aux={:?}", q.name(), n, seed, on.stats.aux
+                "{} symmetry={} n={} seed={} aux={:?}", q.name(), symmetry, n, seed, on.stats.aux
             );
             prop_assert_eq!(
                 on.matches, off.matches,
-                "{} n={} seed={}", q.name(), n, seed
+                "{} symmetry={} n={} seed={}", q.name(), symmetry, n, seed
             );
         }
     }
